@@ -6,7 +6,9 @@
 # bugs hide — under ASan the arena allocates per-request so a tensor
 # escaping its step scope is a real heap-use-after-free) and the
 # ctest-labeled `concurrency` suites (serving, scheduler torture, step
-# pipeline), a TSan pass over the lock-free concurrency suites
+# pipeline), a Release rerun of that label at 4 kernel threads whatever the
+# host's core count, the checkpoint suite under an address-space cap, a TSan
+# pass over the lock-free concurrency suites
 # (quantized-cache publish, micro-batcher, serve-while-train snapshot
 # hand-off, scheduler epoch protocol, pipeline handoff) with the soak
 # volumes bumped, the crash-safety fault matrix (checkpoint commit-protocol
@@ -29,6 +31,23 @@ for config in Debug Release; do
   echo "== ${config}: ctest =="
   ctest --test-dir "${build_dir}" --output-on-failure -j "${JOBS}"
 done
+
+echo "== Release: concurrency label at CDCL_NUM_THREADS=4 =="
+# The default thread count follows the host, so on a 1-core host no kernel
+# region ever reaches the RegionPool workers and a determinism break that
+# only shows when a worker runs a chunk (e.g. a thread-local dispatch mode
+# not carried into the region) stays hidden. Forcing 4 threads runs the pool
+# path on every host; oversubscribed on 1 core, it is still the same code.
+CDCL_NUM_THREADS=4 ctest --test-dir build-verify-release --output-on-failure \
+  -j "${JOBS}" -L concurrency
+
+echo "== Release: checkpoint suite under a 2 GiB address-space cap =="
+# A decoder that sizes a buffer from an unverified count fails here the same
+# way whether or not the host overcommits memory: the forged-count tests
+# must get an error status, never an allocation. The cap is far above what
+# the suite needs and far below what any forged count asks for. (Not under
+# ASan, whose shadow mappings need far more address space.)
+(ulimit -v 2097152 && "build-verify-release/ckpt_test")
 
 echo "== examples: built under the default targets =="
 for example in examples/*.cc; do
@@ -150,4 +169,4 @@ if [[ "${stale}" -ne 0 ]]; then
   exit 1
 fi
 
-echo "verify: OK (Debug + Release + examples + ASan/UBSan + fault matrix + legacy-numerics + TSan + restore determinism + docs knobs)"
+echo "verify: OK (Debug + Release + forced 4-thread concurrency + capped-memory ckpt + examples + ASan/UBSan + fault matrix + legacy-numerics + TSan + restore determinism + docs knobs)"

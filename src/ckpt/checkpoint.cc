@@ -16,6 +16,16 @@ namespace {
 
 constexpr uint32_t kFormatVersion = 1;
 
+// Smallest encoding of one element of each counted payload list. A count is
+// checked against the bytes left in its section with these before anything
+// is sized from it, so a corrupt count fails the parse instead of allocating.
+constexpr size_t kMinTensorBytes = 1 + 8;            // ndim + float count
+constexpr size_t kMinCompactFloatsBytes = 1 + 8 + 4;  // mode + n + scale
+constexpr size_t kMinParamBytes = 8 + 1 + kMinTensorBytes;  // name, grad, tensor
+constexpr size_t kMinOptimBytes = 1 + 8 + 8 + 8;  // present, step, m, v
+constexpr size_t kMinRecordBytes = 2 * kMinTensorBytes + 3 * 8 +
+                                   3 * kMinCompactFloatsBytes + 8 + 4;
+
 // --- encode helpers --------------------------------------------------------
 
 void WriteTensor(ByteWriter* w, const Tensor& t) {
@@ -73,6 +83,7 @@ bool ReadCompactFloats(ByteReader* r, cl::CompactFloats* out) {
   std::vector<int8_t> i8;
   switch (mode) {
     case kernels::GemmPrecision::kBf16: {
+      if (!r->CanHold(n, 2)) return false;
       bf16.resize(static_cast<size_t>(n));
       for (auto& v : bf16) {
         uint8_t lo = 0, hi = 0;
@@ -82,10 +93,12 @@ bool ReadCompactFloats(ByteReader* r, cl::CompactFloats* out) {
       break;
     }
     case kernels::GemmPrecision::kInt8:
+      if (!r->CanHold(n, 1)) return false;
       i8.resize(static_cast<size_t>(n));
       if (!r->GetBytes(i8.data(), i8.size())) return false;
       break;
     default: {
+      if (!r->CanHold(n, sizeof(float))) return false;
       f32.resize(static_cast<size_t>(n));
       for (auto& v : f32) {
         if (!r->GetF32(&v)) return false;
@@ -150,7 +163,8 @@ Status ParseCheckpoint(const std::vector<uint8_t>& bytes,
       return Status::IoError("checkpoint: unsupported format version");
     }
     if (!r.GetI64(&out->next_task) || !r.GetI64(&tasks_seen) ||
-        !r.GetU64(&count) || tasks_seen != static_cast<int64_t>(count)) {
+        !r.GetU64(&count) || tasks_seen != static_cast<int64_t>(count) ||
+        !r.CanHold(count, sizeof(int64_t))) {
       return MalformedSection("meta");
     }
     out->classes_per_task.resize(static_cast<size_t>(count));
@@ -162,7 +176,9 @@ Status ParseCheckpoint(const std::vector<uint8_t>& bytes,
   {
     ByteReader r(by_tag[kModel]->payload);
     uint64_t count = 0;
-    if (!r.GetU64(&count)) return MalformedSection("model");
+    if (!r.GetU64(&count) || !r.CanHold(count, kMinParamBytes)) {
+      return MalformedSection("model");
+    }
     out->params.resize(static_cast<size_t>(count));
     for (auto& p : out->params) {
       uint8_t rg = 0, ndim = 0;
@@ -181,7 +197,9 @@ Status ParseCheckpoint(const std::vector<uint8_t>& bytes,
   {
     ByteReader r(by_tag[kOptim]->payload);
     uint64_t count = 0;
-    if (!r.GetU64(&count)) return MalformedSection("optim");
+    if (!r.GetU64(&count) || !r.CanHold(count, kMinOptimBytes)) {
+      return MalformedSection("optim");
+    }
     out->optim.resize(static_cast<size_t>(count));
     for (auto& e : out->optim) {
       uint8_t present = 0;
@@ -208,7 +226,8 @@ Status ParseCheckpoint(const std::vector<uint8_t>& bytes,
   {
     ByteReader r(by_tag[kMemory]->payload);
     uint64_t count = 0;
-    if (!r.GetI64(&out->memory_num_tasks) || !r.GetU64(&count)) {
+    if (!r.GetI64(&out->memory_num_tasks) || !r.GetU64(&count) ||
+        !r.CanHold(count, kMinRecordBytes)) {
       return MalformedSection("memory");
     }
     out->records.resize(static_cast<size_t>(count));

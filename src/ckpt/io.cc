@@ -23,6 +23,8 @@ constexpr char kMagic[8] = {'C', 'D', 'C', 'L', 'C', 'K', 'P', '1'};
 constexpr char kManifestName[] = "MANIFEST";
 constexpr uint32_t kManifestTag = 0x4D414E49u;  // "MANI"
 constexpr char kInjectedCrashPrefix[] = "injected crash at ";
+// Smallest framed section: tag u32 + len u64 + crc u32, empty payload.
+constexpr size_t kMinSectionBytes = 4 + 8 + 4;
 
 std::string ErrnoMessage(const std::string& what) {
   return what + ": " + std::strerror(errno);
@@ -83,6 +85,11 @@ Status DecodeSections(const std::vector<uint8_t>& bytes,
   uint32_t count = 0;
   if (!r.GetU32(&count)) {
     return Status::IoError("checkpoint: truncated section count");
+  }
+  if (!r.CanHold(count, kMinSectionBytes)) {
+    return Status::IoError("checkpoint: section count " +
+                           std::to_string(count) +
+                           " exceeds what the file could frame");
   }
   std::vector<Section> sections;
   sections.reserve(count);

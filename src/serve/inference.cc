@@ -90,8 +90,10 @@ std::vector<CompletedResponse> InferenceEngine::Run(
   // requests happened to share its micro-batch. Kernel auto-dispatch is a
   // pure function of shape, and the flattened eval GEMMs' row count scales
   // with the batch — batch-invariant mode pins those choices to a nominal
-  // row count for every eval below (thread-local, so concurrent workers and
-  // unrelated training threads are unaffected).
+  // row count for every eval below. The mode is thread-local, so concurrent
+  // workers and unrelated training threads are unaffected; each parallel
+  // region captures it and applies it to pool workers running this thread's
+  // chunks.
   kernels::BatchInvariantGemmScope invariant_dispatch;
 
   std::vector<CompletedResponse> out(batch.size());

@@ -54,9 +54,10 @@ std::atomic<int> g_kernel_override{-1};  // -1 = unset (env var / auto)
 std::atomic<int> g_narrow_pack{-1};      // -1 = unresolved (consult env once)
 
 // Batch-invariant dispatch (see header): thread-local because concurrent
-// inference workers must not leak the mode into training threads. Selection
-// happens on the GemmNN caller before the row partition fans out, so pool
-// worker threads never consult the flag.
+// inference workers must not leak the mode into training threads. A GEMM
+// nested inside a parallel region selects its kernel on whichever thread runs
+// the chunk; ParallelChunks carries the launcher's value to pool workers for
+// the chunk's duration (kernel_context.cc).
 thread_local bool t_batch_invariant_gemm = false;
 
 // Nominal row count for batch-invariant auto dispatch: a saturated serving

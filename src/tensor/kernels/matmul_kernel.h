@@ -61,6 +61,10 @@ bool CpuHasAvx2Fma();
 /// contract above), so pinning the choice is sufficient. The inference
 /// server's engine runs all its evals under this scope; forced kScalar /
 /// kPacked overrides are batch-invariant by construction and are unaffected.
+/// The flag is captured per parallel region: ParallelChunks installs the
+/// launcher's value on any pool worker while it runs one of the launcher's
+/// chunks, so GEMMs nested inside a chunk dispatch the same way whichever
+/// thread runs them.
 void SetBatchInvariantGemm(bool enabled);
 bool BatchInvariantGemmEnabled();
 

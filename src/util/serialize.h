@@ -78,6 +78,14 @@ class ByteReader {
   size_t remaining() const { return static_cast<size_t>(end_ - p_); }
   bool exhausted() const { return p_ == end_; }
 
+  /// True when `count` elements, each encoded in at least `min_bytes`, could
+  /// still fit in the unread range. Decoders check this before sizing a
+  /// container from an untrusted count, so a corrupt count is rejected
+  /// instead of allocated. Division keeps the check free of overflow.
+  bool CanHold(uint64_t count, size_t min_bytes) const {
+    return count <= remaining() / min_bytes;
+  }
+
   bool GetU8(uint8_t* v) {
     if (remaining() < 1) return false;
     *v = *p_++;
@@ -130,7 +138,7 @@ class ByteReader {
   }
   bool GetFloats(std::vector<float>* v) {
     uint64_t n;
-    if (!GetU64(&n) || remaining() < n * sizeof(float)) return false;
+    if (!GetU64(&n) || !CanHold(n, sizeof(float))) return false;
     v->resize(static_cast<size_t>(n));
     for (size_t i = 0; i < n; ++i) {
       if (!GetF32(&(*v)[i])) return false;

@@ -170,6 +170,22 @@ TEST(CkptIoTest, SectionsRoundTripAndRejectCorruption) {
   EXPECT_FALSE(ckpt::DecodeSections(padded, &out).ok());
 }
 
+TEST(CkptIoTest, ImpossibleSectionCountIsRejectedBeforeAllocating) {
+  // A header claiming 2^32 - 1 sections over a one-section file: every
+  // section frames at least 16 bytes, so the count alone proves corruption.
+  // Sizing the section list from it would ask for ~137 GB.
+  std::vector<ckpt::Section> sections(1);
+  sections[0].tag = 7;
+  sections[0].payload = {1, 2, 3};
+  std::vector<uint8_t> bytes = ckpt::EncodeSections(sections);
+  constexpr size_t kCountOffset = 8;  // right after the magic
+  for (size_t i = 0; i < 4; ++i) bytes[kCountOffset + i] = 0xFF;
+  std::vector<ckpt::Section> out;
+  const Status st = ckpt::DecodeSections(bytes, &out);
+  EXPECT_FALSE(st.ok());
+  EXPECT_EQ(st.code(), StatusCode::kIoError);
+}
+
 TEST(CkptIoTest, GenerationNamesAndListing) {
   TempDir dir;
   EXPECT_EQ(ckpt::GenerationFileName(7), "ckpt-00000007.bin");
@@ -535,6 +551,121 @@ TEST(CheckpointCorruptionTest, CorruptNewestFallsBackCorruptAllFails) {
     ASSERT_FALSE(info.ok());
     EXPECT_EQ(info.status().code(), StatusCode::kIoError);
   }
+}
+
+/// Payload of section `tag` of an intact checkpoint file.
+std::vector<uint8_t> SectionPayload(const std::vector<uint8_t>& good,
+                                    uint32_t tag) {
+  std::vector<ckpt::Section> sections;
+  EXPECT_TRUE(ckpt::DecodeSections(good, &sections).ok());
+  for (ckpt::Section& s : sections) {
+    if (s.tag == tag) return std::move(s.payload);
+  }
+  ADD_FAILURE() << "no section tag " << tag;
+  return {};
+}
+
+/// Rewrites one u64 inside section `tag` of a decoded checkpoint and
+/// re-encodes it with fresh CRCs: the container verifies, so only the payload
+/// parser stands between the forged count and an allocation sized from it.
+std::vector<uint8_t> ForgeSectionU64(const std::vector<uint8_t>& good,
+                                     uint32_t tag, size_t offset,
+                                     uint64_t value) {
+  std::vector<ckpt::Section> sections;
+  EXPECT_TRUE(ckpt::DecodeSections(good, &sections).ok());
+  for (ckpt::Section& s : sections) {
+    if (s.tag != tag) continue;
+    EXPECT_LE(offset + 8, s.payload.size());
+    for (size_t i = 0; i < 8; ++i) {
+      s.payload[offset + i] = static_cast<uint8_t>(value >> (8 * i));
+    }
+  }
+  return ckpt::EncodeSections(sections);
+}
+
+/// Payload offset of the float count of the first model parameter.
+size_t FirstParamFloatCountOffset(const std::vector<uint8_t>& good) {
+  const std::vector<uint8_t> payload = SectionPayload(good, ckpt::kModel);
+  ByteReader r(payload);
+  uint64_t params = 0;
+  std::string name;
+  uint8_t requires_grad = 0, ndim = 0;
+  int64_t dim = 0;
+  EXPECT_TRUE(r.GetU64(&params) && params > 0);
+  EXPECT_TRUE(r.GetString(&name) && r.GetU8(&requires_grad) && r.GetU8(&ndim));
+  for (uint8_t d = 0; d < ndim; ++d) EXPECT_TRUE(r.GetI64(&dim));
+  return payload.size() - r.remaining();
+}
+
+/// Payload offset of the element count of the first rehearsal record's
+/// source_logits (the first CompactFloats in the memory section).
+size_t FirstCompactFloatsCountOffset(const std::vector<uint8_t>& good) {
+  const std::vector<uint8_t> payload = SectionPayload(good, ckpt::kMemory);
+  ByteReader r(payload);
+  int64_t num_tasks = 0;
+  uint64_t records = 0;
+  EXPECT_TRUE(r.GetI64(&num_tasks) && r.GetU64(&records) && records > 0);
+  for (int image = 0; image < 2; ++image) {  // source_image, target_image
+    uint8_t ndim = 0;
+    int64_t dim = 0;
+    std::vector<float> values;
+    EXPECT_TRUE(r.GetU8(&ndim));
+    for (uint8_t d = 0; d < ndim; ++d) EXPECT_TRUE(r.GetI64(&dim));
+    EXPECT_TRUE(r.GetFloats(&values));
+  }
+  int64_t label = 0;
+  for (int i = 0; i < 3; ++i) EXPECT_TRUE(r.GetI64(&label));  // labels, id
+  uint8_t mode = 0;
+  EXPECT_TRUE(r.GetU8(&mode));
+  return payload.size() - r.remaining();
+}
+
+TEST(CheckpointCorruptionTest, ForgedPayloadCountsFailRestoreWithoutAllocating) {
+  // CRC-valid generations whose payload counts claim far more elements than
+  // their section holds. Each must fail the restore with an IoError; sizing
+  // a container from the count first would throw (or exhaust memory).
+  auto stream = TinyDigitsStream(1);
+  core::CdclTrainer trainer(TinyCdclOptions());
+  ASSERT_TRUE(trainer.ObserveTask(stream.task(0)).ok());
+  ASSERT_GT(trainer.memory().size(), 0);
+  TempDir dir;
+  const Result<CheckpointInfo> saved = SaveTrainer(dir.path(), trainer, 1);
+  ASSERT_TRUE(saved.ok()) << saved.status().ToString();
+  const std::vector<uint8_t> good = ReadAll(saved->path);
+
+  const uint64_t huge = uint64_t{1} << 40;
+  struct Forgery {
+    const char* name;
+    std::vector<uint8_t> bytes;
+  };
+  // meta: version u32, next_task i64, then tasks_seen i64 == count u64 (the
+  // parser demands they agree, so both are forged).
+  const std::vector<uint8_t> meta_forged = ForgeSectionU64(
+      ForgeSectionU64(good, ckpt::kMeta, 4 + 8, huge), ckpt::kMeta, 4 + 16,
+      huge);
+  const Forgery forgeries[] = {
+      {"meta class counts", meta_forged},
+      {"model parameter count", ForgeSectionU64(good, ckpt::kModel, 0, huge)},
+      {"optimizer state count", ForgeSectionU64(good, ckpt::kOptim, 0, huge)},
+      {"memory record count", ForgeSectionU64(good, ckpt::kMemory, 8, huge)},
+      {"compact float count",
+       ForgeSectionU64(good, ckpt::kMemory, FirstCompactFloatsCountOffset(good),
+                       huge)},
+      {"parameter float count wrapping n * 4",
+       ForgeSectionU64(good, ckpt::kModel, FirstParamFloatCountOffset(good),
+                       uint64_t{1} << 62)},
+  };
+  for (const Forgery& forgery : forgeries) {
+    WriteAll(saved->path, forgery.bytes);
+    core::CdclTrainer restored(TinyCdclOptions());
+    const Result<CheckpointInfo> info = RestoreTrainer(dir.path(), &restored);
+    ASSERT_FALSE(info.ok()) << forgery.name;
+    EXPECT_EQ(info.status().code(), StatusCode::kIoError) << forgery.name;
+  }
+  // The untouched bytes still restore: the forgeries, not the surgery, failed.
+  WriteAll(saved->path, good);
+  core::CdclTrainer restored(TinyCdclOptions());
+  EXPECT_TRUE(RestoreTrainer(dir.path(), &restored).ok());
 }
 
 // ---------------------------------------------------------------------------

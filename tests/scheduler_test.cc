@@ -5,7 +5,9 @@
 // propagates out of the region without wedging the parked team, concurrent
 // callers from independent threads fall back serially without corruption,
 // and SetNumThreads can replace the team between regions — including while
-// its workers are parked — without lost wakeups or numeric drift.
+// its workers are parked — without lost wakeups or numeric drift. A chunk
+// sees the launcher's batch-invariant GEMM dispatch mode whichever thread
+// runs it, never a mode left over from an earlier region.
 // scripts/verify.sh re-runs this suite under ASan/UBSan and TSan (ctest
 // label `concurrency`).
 
@@ -14,12 +16,15 @@
 #include <chrono>
 #include <cmath>
 #include <memory>
+#include <mutex>
+#include <set>
 #include <stdexcept>
 #include <thread>
 #include <vector>
 
 #include "gtest/gtest.h"
 #include "tensor/kernels/kernel_context.h"
+#include "tensor/kernels/matmul_kernel.h"
 #include "tensor/kernels/parallel.h"
 #include "util/thread_pool.h"
 
@@ -89,6 +94,61 @@ TEST(SchedulerTortureTest, NestedRegionsRunInline) {
   EXPECT_EQ(outer_count.load(), 16);
   EXPECT_EQ(inner_count.load(), int64_t{16} * 64);
   EXPECT_EQ(nested_flag_violations.load(), 0);
+}
+
+// --- Dispatch mode travels with the region ----------------------------------
+
+/// Runs a region of `participants` chunks in which every chunk waits until
+/// all `participants` threads hold one, so under SetNumThreads(participants)
+/// the launcher and each pool worker run exactly one chunk — no thread can
+/// claim a second chunk before every other thread has claimed its first.
+/// Returns BatchInvariantGemmEnabled() as each chunk saw it; `threads` gets
+/// the number of distinct threads that ran a chunk.
+std::vector<int> BatchInvariantFlagPerChunk(int64_t participants,
+                                            size_t* threads) {
+  std::vector<int> seen(static_cast<size_t>(participants), -1);
+  std::atomic<int64_t> arrived{0};
+  std::mutex ids_mutex;
+  std::set<std::thread::id> ids;
+  ParallelChunks(participants, 1, [&](int64_t begin, int64_t) {
+    seen[static_cast<size_t>(begin)] = BatchInvariantGemmEnabled() ? 1 : 0;
+    {
+      std::lock_guard<std::mutex> lock(ids_mutex);
+      ids.insert(std::this_thread::get_id());
+    }
+    arrived.fetch_add(1, std::memory_order_acq_rel);
+    // Bounded, so a team that never joins fails the thread-count check below
+    // instead of hanging the suite.
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (arrived.load(std::memory_order_acquire) < participants &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
+  });
+  *threads = ids.size();
+  return seen;
+}
+
+TEST(SchedulerTortureTest, PoolWorkersInheritBatchInvariantGemmPerRegion) {
+  constexpr int64_t kThreads = 4;
+  ThreadScope scope(kThreads);
+  const std::vector<int> all_on(kThreads, 1);
+  const std::vector<int> all_off(kThreads, 0);
+  size_t threads = 0;
+  {
+    BatchInvariantGemmScope invariant_dispatch;
+    // Every chunk, on the launcher or on a worker, dispatches as the
+    // launcher would: kernels nested in a chunk must not pick a kernel by
+    // which thread happened to run it.
+    EXPECT_EQ(BatchInvariantFlagPerChunk(kThreads, &threads), all_on);
+    EXPECT_EQ(threads, static_cast<size_t>(kThreads));
+  }
+  EXPECT_FALSE(BatchInvariantGemmEnabled());
+  // The same workers ran chunks under the scope; a region launched outside
+  // it must see the mode off on every chunk, not a value a worker kept.
+  EXPECT_EQ(BatchInvariantFlagPerChunk(kThreads, &threads), all_off);
+  EXPECT_EQ(threads, static_cast<size_t>(kThreads));
 }
 
 // --- Exception propagation under persistent workers ------------------------
